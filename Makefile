@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target's run; CI's smoke tier shrinks it.
 FUZZTIME ?= 20s
 
-.PHONY: build test test-noasm check fmt-check bench race vet chaos elastic fuzz soak sdc sdc-quick modes bench-overlap bench-overlap-quick bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
+.PHONY: build test test-noasm check fmt-check bench race vet cross chaos elastic fuzz soak sdc sdc-quick modes bench-overlap bench-overlap-quick bench-guard bench-sweep bench-kernel bench-grouped bench-p2p experiments
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test-noasm:
 
 vet:
 	$(GO) vet ./...
+
+# cross vets the tree for a big-endian target (s390x) and builds it for
+# arm64, so the byte-order-independent wire codec path and every
+# architecture-specific file keep compiling off amd64.
+cross:
+	GOARCH=s390x $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean.
 fmt-check:

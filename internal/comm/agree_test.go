@@ -28,7 +28,7 @@ func testDeadlines() Deadlines {
 }
 
 // dialMeshOpts brings up an n-rank TCP mesh on loopback with options.
-func dialMeshOpts(t *testing.T, n int, opts TCPOptions) []*TCPTransport {
+func dialMeshOpts(t testing.TB, n int, opts TCPOptions) []*TCPTransport {
 	t.Helper()
 	addrs, err := LoopbackAddrs(n)
 	if err != nil {

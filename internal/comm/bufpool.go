@@ -15,6 +15,15 @@ import (
 // Classes grow by powers of two from bufMinLen elements; a buffer is filed
 // under the largest class not exceeding its capacity, so anything fetched
 // from class c is guaranteed to hold bufMinLen<<c elements.
+//
+// In front of each class's sync.Pool sits a small stash that the garbage
+// collector does not empty. A sync.Pool drops its contents across two
+// collections (and, under the race detector, a quarter of its Puts on
+// purpose), after which every multi-megabyte belt buffer cycling through it
+// is allocated and zero-filled again. The stash keeps the hot working set
+// instead: it holds only buffers released while it has room and hands them
+// out first, so a class's stashed plus live buffers never exceed the most
+// that class ever had live at once.
 
 const (
 	bufMinLen     = 64
@@ -22,6 +31,41 @@ const (
 )
 
 var bufPools [bufNumClasses]sync.Pool
+
+// stashDepth is the number of buffers each class's stash keeps.
+const stashDepth = 8
+
+// bufStash is one class's GC-proof free list.
+type bufStash struct {
+	mu   sync.Mutex
+	n    int
+	bufs [stashDepth][]float32
+}
+
+var bufStashes [bufNumClasses]bufStash
+
+func (s *bufStash) pop() []float32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return nil
+	}
+	s.n--
+	b := s.bufs[s.n]
+	s.bufs[s.n] = nil
+	return b
+}
+
+func (s *bufStash) push(b []float32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == stashDepth {
+		return false
+	}
+	s.bufs[s.n] = b
+	s.n++
+	return true
+}
 
 // hdrPool recycles the *[]float32 headers that carry buffers in and out of
 // the size-classed pools. Without it every Release heap-allocates the header
@@ -59,6 +103,9 @@ func GetBuf(n int) []float32 {
 		return nil
 	}
 	if c := bufClassCeil(n); c < bufNumClasses {
+		if b := bufStashes[c].pop(); b != nil {
+			return b[:n]
+		}
 		if v := bufPools[c].Get(); v != nil {
 			h := v.(*[]float32)
 			buf := (*h)[:n]
@@ -78,7 +125,7 @@ func GetBuf(n int) []float32 {
 // foreign buffers is safe but pointless; nil and tiny buffers are dropped.
 func Release(buf []float32) {
 	c := bufClassFloor(cap(buf))
-	if c < 0 {
+	if c < 0 || bufStashes[c].push(buf[:cap(buf)]) {
 		return
 	}
 	h := hdrPool.Get().(*[]float32)

@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -50,53 +49,53 @@ func burstByteCap(maxElems int) uint64 {
 	return uint64(maxElems)*4 + maxBurstFrames*frameHeaderLen
 }
 
-// encodeBurstHeader builds the envelope header for a burst of count inner
-// frames totalling payloadBytes of encoded wire. The CRC covers the
-// header only (see the package comment above).
-func encodeBurstHeader(src int, epoch uint32, count int, payloadBytes int) []byte {
-	hdr := make([]byte, frameHeaderLen)
+// putBurstHeader writes the envelope header for a burst of count inner
+// frames totalling payloadBytes of encoded wire into hdr. The CRC covers
+// the header only (see the package comment above).
+func putBurstHeader(hdr []byte, src int, epoch uint32, count int, payloadBytes int) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
 	binary.LittleEndian.PutUint32(hdr[4:8], ctlBurst)
 	binary.LittleEndian.PutUint32(hdr[8:12], epoch)
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(count))
+	binary.LittleEndian.PutUint64(hdr[20:28], 0)
+	binary.LittleEndian.PutUint64(hdr[28:36], 0)
 	binary.LittleEndian.PutUint64(hdr[36:44], uint64(payloadBytes))
-	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:frameHeaderLen], frameCRC(hdr))
-	return hdr
+	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:frameHeaderLen], frameCRC(hdr, nil))
 }
 
-// splitBursts groups already-encoded wire frames into envelope-sized runs
-// respecting maxBurstFrames and the receiver's byte cap. A frame larger
-// than the cap on its own (impossible for legal frames, but the bound is
-// defensive) travels as a run of one.
-func splitBursts(maxElems int, wires [][]byte) [][][]byte {
+// splitBursts groups wire frames of the given encoded sizes into
+// envelope-sized runs respecting maxBurstFrames and the receiver's byte
+// cap, appending each run's frame count to runs. A frame larger than the
+// cap on its own (impossible for legal frames, but the bound is defensive)
+// travels as a run of one.
+func splitBursts(maxElems int, sizes []int, runs []int) []int {
 	cap64 := burstByteCap(maxElems)
-	var groups [][][]byte
-	var cur [][]byte
+	cur := 0
 	var curBytes uint64
-	for _, w := range wires {
-		if len(cur) > 0 && (len(cur) >= maxBurstFrames || curBytes+uint64(len(w)) > cap64) {
-			groups = append(groups, cur)
-			cur, curBytes = nil, 0
+	for _, n := range sizes {
+		if cur > 0 && (cur >= maxBurstFrames || curBytes+uint64(n) > cap64) {
+			runs = append(runs, cur)
+			cur, curBytes = 0, 0
 		}
-		cur = append(cur, w)
-		curBytes += uint64(len(w))
+		cur++
+		curBytes += uint64(n)
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
+	if cur > 0 {
+		runs = append(runs, cur)
 	}
-	return groups
+	return runs
 }
 
 // flattenBurst builds one contiguous wire image of an envelope — header
-// plus inner frames — for write paths that need a single buffer (the
-// chaos injector flips bytes in place; writev paths skip the copy).
+// plus inner frames — for the chaos injector's per-write path, which
+// flips bytes in a private copy and may hold a write back for reordering.
 func flattenBurst(src int, epoch uint32, wires [][]byte) []byte {
 	total := 0
 	for _, w := range wires {
 		total += len(w)
 	}
-	out := make([]byte, 0, frameHeaderLen+total)
-	out = append(out, encodeBurstHeader(src, epoch, len(wires), total)...)
+	out := make([]byte, frameHeaderLen, frameHeaderLen+total)
+	putBurstHeader(out, src, epoch, len(wires), total)
 	for _, w := range wires {
 		out = append(out, w...)
 	}
@@ -111,17 +110,18 @@ type burstFrame struct {
 	err     error
 }
 
-// decodeBurst splits an envelope's payload into its inner frames. Intact
-// frames come back decoded (payloads drawn from the pool; the caller owns
-// them). An inner frame whose payload fails its CRC becomes a
-// *CorruptionError entry — its siblings are unaffected. A malformed
-// structure — truncated inner frame, implausible inner header, nested
-// envelope, or a frame-count mismatch against the envelope header — ends
-// decoding with one final terminal *CorruptionError entry; frames decoded
-// before the damage still deliver. The envelope's byte count was read in
-// full before decoding, so every outcome leaves the outer stream aligned.
-func decodeBurst(buf []byte, count, size, maxElems int) []burstFrame {
-	out := make([]burstFrame, 0, count)
+// decodeBurst splits an envelope's payload into its inner frames, reusing
+// out's backing array for the result. Intact frames come back decoded (payloads drawn
+// from the pool; the caller owns them). An inner frame whose payload fails
+// its CRC becomes a *CorruptionError entry — its siblings are unaffected.
+// A malformed structure — truncated inner frame, implausible inner header,
+// nested envelope, or a frame-count mismatch against the envelope header —
+// ends decoding with one final terminal *CorruptionError entry; frames
+// decoded before the damage still deliver. The envelope's byte count was
+// read in full before decoding, so every outcome leaves the outer stream
+// aligned.
+func decodeBurst(buf []byte, count, size, maxElems int, out []burstFrame) []burstFrame {
+	out = out[:0]
 	terminal := func(reason string) []burstFrame {
 		return append(out, burstFrame{err: &CorruptionError{Reason: "burst: " + reason}})
 	}
@@ -146,17 +146,16 @@ func decodeBurst(buf []byte, count, size, maxElems int) []burstFrame {
 			return terminal("truncated inner payload")
 		}
 		body := buf[off+frameHeaderLen : off+frameHeaderLen+pb]
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:frameCRCOffset])
-		crc.Write(body)
-		if got := crc.Sum32(); got != h.crc {
+		if got := frameCRC(hdr, body); got != h.crc {
 			// One damaged frame; the header was plausible so the next
 			// boundary is still known. Skip it, keep its siblings.
 			out = append(out, burstFrame{err: &CorruptionError{Reason: fmt.Sprintf("inner payload CRC mismatch (got %#x want %#x)", got, h.crc)}})
 			off += frameHeaderLen + pb
 			continue
 		}
-		out = append(out, burstFrame{h: h, payload: decodePayload(h, body)})
+		payload := GetBuf(h.n)
+		decodeBody(h.codec, payload, body)
+		out = append(out, burstFrame{h: h, payload: payload})
 		off += frameHeaderLen + pb
 	}
 	if len(out) != count {
@@ -165,41 +164,44 @@ func decodeBurst(buf []byte, count, size, maxElems int) []burstFrame {
 	return out
 }
 
-// releaseBurstFrames returns any decoded payloads of a pending burst to
-// the pool (connection teardown with frames still queued).
-func releaseBurstFrames(frames []burstFrame) {
-	for _, bf := range frames {
-		Release(bf.payload)
-	}
-}
-
 // frameReader decodes a connection's wire stream one frame at a time,
 // transparently unpacking burst envelopes: a burst's inner frames are
 // queued and handed out on subsequent calls before the socket is read
 // again. This is what makes every receiver mode-agnostic — plain frames
 // and bursts interleave freely on the same connection.
+//
+// A plain f32 frame is read straight into its pooled delivery buffer
+// (on a little-endian host) and verified there, so its payload bytes are
+// copied once, by the kernel. bf16 payloads and burst envelopes go through
+// stage, one pooled buffer reused across frames, and are decoded out of it.
 type frameReader struct {
 	r        io.Reader
 	size     int
 	maxElems int
-	pending  []burstFrame
+
+	hdr   [frameHeaderLen]byte
+	stage []float32    // pooled staging buffer (bytes view); grows, never shrinks
+	queue []burstFrame // decoded inner frames of the current burst
+	head  int          // next queue entry to hand out
 }
 
-// next returns the next frame. The synced flag and error semantics match
-// readFrame: synced == true with a *CorruptionError means one frame was
-// lost but the stream (and the reader's queue) remain aligned, so the
-// caller may keep reading; any other error requires connection teardown.
+// next returns the next frame. synced == true with a *CorruptionError
+// means one frame was lost (its payload failed its CRC and was never
+// delivered) but the stream (and the reader's queue) remain aligned, so
+// the caller may keep reading; any other error requires connection
+// teardown. The returned payload is pooled; the caller owns it.
 func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, err error) {
 	for {
-		if len(fr.pending) > 0 {
-			bf := fr.pending[0]
-			fr.pending = fr.pending[1:]
+		if fr.head < len(fr.queue) {
+			bf := fr.queue[fr.head]
+			fr.queue[fr.head] = burstFrame{}
+			fr.head++
 			if bf.err != nil {
 				return frameHeader{}, nil, true, bf.err
 			}
 			return bf.h, bf.payload, true, nil
 		}
-		hdr := make([]byte, frameHeaderLen)
+		hdr := fr.hdr[:]
 		if _, err := io.ReadFull(fr.r, hdr); err != nil {
 			return frameHeader{}, nil, false, err
 		}
@@ -208,34 +210,69 @@ func (fr *frameReader) next() (h frameHeader, payload []float32, synced bool, er
 			return frameHeader{}, nil, false, err
 		}
 		if h.kind != ctlBurst {
-			// Plain frame: read and verify its payload in place.
-			buf := make([]byte, h.n*h.codec.bytesPerElem())
-			if _, err := io.ReadFull(fr.r, buf); err != nil {
-				return frameHeader{}, nil, false, err
-			}
-			crc := crc32.NewIEEE()
-			crc.Write(hdr[:frameCRCOffset])
-			crc.Write(buf)
-			if got := crc.Sum32(); got != h.crc {
-				return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
-			}
-			return h, decodePayload(h, buf), true, nil
+			return fr.readPayload(h)
 		}
 		// Burst envelope. The header seals itself; a mismatch means the
 		// byte count cannot be trusted, so alignment is lost.
-		if got := frameCRC(hdr); got != h.crc {
+		if got := frameCRC(hdr, nil); got != h.crc {
 			return frameHeader{}, nil, false, &CorruptionError{Reason: fmt.Sprintf("burst envelope CRC mismatch (got %#x want %#x)", got, h.crc)}
 		}
-		buf := make([]byte, h.n)
+		buf := fr.staging(h.n)
 		if _, err := io.ReadFull(fr.r, buf); err != nil {
 			return frameHeader{}, nil, false, err
 		}
-		fr.pending = decodeBurst(buf, int(h.a), fr.size, fr.maxElems)
+		fr.queue = decodeBurst(buf, int(h.a), fr.size, fr.maxElems, fr.queue)
+		fr.head = 0
 	}
 }
 
-// drop releases any queued inner frames (teardown mid-burst).
+// readPayload reads and verifies the payload of the plain frame whose
+// header fr.hdr holds.
+func (fr *frameReader) readPayload(h frameHeader) (frameHeader, []float32, bool, error) {
+	nb := h.n * h.codec.bytesPerElem()
+	var payload []float32
+	var body []byte
+	direct := h.codec == CodecF32 && hostLittleEndian
+	if direct {
+		payload = GetBuf(h.n)
+		body = f32Bytes(payload)
+	} else {
+		body = fr.staging(nb)
+	}
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		Release(payload)
+		return frameHeader{}, nil, false, err
+	}
+	if got := frameCRC(fr.hdr[:], body); got != h.crc {
+		// The length field was covered by the header checks and the payload
+		// was fully consumed: the stream is still frame-aligned.
+		Release(payload)
+		return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
+	}
+	if !direct {
+		payload = GetBuf(h.n)
+		decodeBody(h.codec, payload, body)
+	}
+	return h, payload, true, nil
+}
+
+// staging returns an nb-byte view of the reader's reusable staging buffer,
+// growing it (from the pool) when a larger frame arrives.
+func (fr *frameReader) staging(nb int) []byte {
+	if 4*cap(fr.stage) < nb {
+		Release(fr.stage)
+		fr.stage = GetBuf((nb + 3) / 4)
+	}
+	return f32Bytes(fr.stage[:cap(fr.stage)])[:nb]
+}
+
+// drop releases any queued inner frames and the staging buffer
+// (connection teardown, possibly mid-burst).
 func (fr *frameReader) drop() {
-	releaseBurstFrames(fr.pending)
-	fr.pending = nil
+	for _, bf := range fr.queue[fr.head:] {
+		Release(bf.payload)
+	}
+	fr.queue, fr.head = nil, 0
+	Release(fr.stage)
+	fr.stage = nil
 }

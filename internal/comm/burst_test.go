@@ -208,26 +208,26 @@ func TestBurstEnvelopeHeaderCorruption(t *testing.T) {
 // splitBursts must respect both the frame-count and byte caps, preserve
 // order, and carry an oversized frame as a run of one.
 func TestBurstSplit(t *testing.T) {
-	small := burstInner(1, CodecF32, []float32{1})
-	var wires [][]byte
+	small := len(burstInner(1, CodecF32, []float32{1}))
+	var sizes []int
 	for i := 0; i < maxBurstFrames+3; i++ {
-		wires = append(wires, small)
+		sizes = append(sizes, small)
 	}
-	groups := splitBursts(1<<12, wires)
-	if len(groups) != 2 || len(groups[0]) != maxBurstFrames || len(groups[1]) != 3 {
-		t.Fatalf("frame-count split: got %d groups", len(groups))
+	runs := splitBursts(1<<12, sizes, nil)
+	if len(runs) != 2 || runs[0] != maxBurstFrames || runs[1] != 3 {
+		t.Fatalf("frame-count split: got %d runs", len(runs))
 	}
 	total := 0
-	for _, g := range groups {
-		total += len(g)
+	for _, n := range runs {
+		total += n
 	}
-	if total != len(wires) {
-		t.Fatalf("split dropped frames: %d != %d", total, len(wires))
+	if total != len(sizes) {
+		t.Fatalf("split dropped frames: %d != %d", total, len(sizes))
 	}
 	// A frame bigger than the whole cap still travels (as a run of one).
-	huge := make([]byte, burstByteCap(4)+1)
-	groups = splitBursts(4, [][]byte{huge, small})
-	if len(groups) != 2 || len(groups[0]) != 1 {
-		t.Fatalf("oversized frame not isolated: %d groups", len(groups))
+	huge := int(burstByteCap(4)) + 1
+	runs = splitBursts(4, []int{huge, small}, nil)
+	if len(runs) != 2 || runs[0] != 1 {
+		t.Fatalf("oversized frame not isolated: %d runs", len(runs))
 	}
 }

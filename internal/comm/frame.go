@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
+	"unsafe"
 
 	"weipipe/internal/tensor"
 )
@@ -133,83 +133,93 @@ func kindField(kind Kind, codec WireCodec) uint32 {
 	return uint32(kind) | uint32(codec)<<codecShift
 }
 
-// encodeFrame builds a complete wire frame (header + CRC + payload),
-// encoding the payload at the codec's width.
-func encodeFrame(src int, kind, epoch uint32, a, b int64, seq uint64, codec WireCodec, payload []float32) []byte {
-	frame := make([]byte, frameHeaderLen+len(payload)*codec.bytesPerElem())
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(src))
-	binary.LittleEndian.PutUint32(frame[4:8], kind)
-	binary.LittleEndian.PutUint32(frame[8:12], epoch)
-	binary.LittleEndian.PutUint64(frame[12:20], uint64(a))
-	binary.LittleEndian.PutUint64(frame[20:28], uint64(b))
-	binary.LittleEndian.PutUint64(frame[28:36], seq)
-	binary.LittleEndian.PutUint64(frame[36:44], uint64(len(payload)))
+// hostLittleEndian reports whether float32 memory already is the wire's
+// little-endian f32 encoding. When it is, f32 payloads go on (and come off)
+// the wire as byte views of their pooled buffers; otherwise they are
+// converted element by element through a pooled staging buffer.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32Bytes views a float32 slice as its in-memory bytes (no copy).
+func f32Bytes(p []float32) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 4*len(p))
+}
+
+// putFrameHeader writes a frame header into hdr (frameHeaderLen bytes),
+// sealing it with the CRC over the header prefix and the encoded payload
+// body. n is the payload's element count.
+func putFrameHeader(hdr []byte, src int, kind, epoch uint32, a, b int64, seq uint64, n int, body []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
+	binary.LittleEndian.PutUint32(hdr[4:8], kind)
+	binary.LittleEndian.PutUint32(hdr[8:12], epoch)
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(a))
+	binary.LittleEndian.PutUint64(hdr[20:28], uint64(b))
+	binary.LittleEndian.PutUint64(hdr[28:36], seq)
+	binary.LittleEndian.PutUint64(hdr[36:44], uint64(n))
+	binary.LittleEndian.PutUint32(hdr[frameCRCOffset:frameHeaderLen], frameCRC(hdr, body))
+}
+
+// putCtlHeader writes a control frame (ack/heartbeat) into hdr; control
+// frames have no payload and carry no codec.
+func putCtlHeader(hdr []byte, src int, kind, epoch uint32, a int64) {
+	putFrameHeader(hdr, src, kind, epoch, a, 0, 0, 0, nil)
+}
+
+// frameCRC computes a frame's checksum: the header bytes before the CRC
+// field plus the encoded payload bytes.
+func frameCRC(hdr, body []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[:frameCRCOffset]), crc32.IEEETable, body)
+}
+
+// encodeBody returns payload's wire bytes under codec. An f32 payload on a
+// little-endian host is its own wire image: body is a view of payload and
+// scratch is nil. Otherwise the payload is encoded into scratch, a pooled
+// buffer the caller owns (and Releases) for as long as it uses body.
+func encodeBody(codec WireCodec, payload []float32) (body []byte, scratch []float32) {
+	if codec == CodecF32 && hostLittleEndian {
+		return f32Bytes(payload), nil
+	}
+	return encodeBodyPortable(codec, payload)
+}
+
+// encodeBodyPortable is encodeBody's byte-order-independent path: it
+// encodes into a pooled staging buffer on any host.
+func encodeBodyPortable(codec WireCodec, payload []float32) (body []byte, scratch []float32) {
+	nb := len(payload) * codec.bytesPerElem()
+	if nb == 0 {
+		return nil, nil
+	}
+	scratch = GetBuf((nb + 3) / 4)
+	body = f32Bytes(scratch)[:nb]
 	if codec == CodecBF16 {
-		tensor.PackBF16LE(frame[frameHeaderLen:], payload)
+		tensor.PackBF16LE(body, payload)
 	} else {
 		for i, v := range payload {
-			binary.LittleEndian.PutUint32(frame[frameHeaderLen+i*4:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
 		}
 	}
-	binary.LittleEndian.PutUint32(frame[frameCRCOffset:frameHeaderLen], frameCRC(frame))
-	return frame
+	return body, scratch
 }
 
-// encodeCtlFrame builds a control frame (ack/heartbeat); control payloads
-// are always empty and carry no codec.
-func encodeCtlFrame(src int, kind, epoch uint32, a int64) []byte {
-	return encodeFrame(src, kind, epoch, a, 0, 0, CodecF32, nil)
+// decodeBody expands a verified payload body into dst (len(dst) elements
+// at the codec's width).
+func decodeBody(codec WireCodec, dst []float32, body []byte) {
+	if codec == CodecF32 && hostLittleEndian {
+		copy(f32Bytes(dst), body)
+		return
+	}
+	decodeBodyPortable(codec, dst, body)
 }
 
-// frameCRC computes the checksum of an encoded frame: the header bytes
-// before the CRC field plus the payload bytes.
-func frameCRC(frame []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:frameCRCOffset])
-	crc.Write(frame[frameHeaderLen:])
-	return crc.Sum32()
-}
-
-// readFrame reads and validates one frame from r. It returns the header and
-// the decoded payload (drawn from the payload pool; the caller owns it).
-// A *CorruptionError with synced == true means the frame was discarded but
-// the stream position is still aligned on a frame boundary (the header was
-// plausible; only the payload failed its checksum), so the caller may keep
-// reading; any other error means the connection must be torn down.
-func readFrame(r io.Reader, size, maxElems int) (h frameHeader, payload []float32, synced bool, err error) {
-	hdr := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return frameHeader{}, nil, false, err
+// decodeBodyPortable is decodeBody's byte-order-independent path.
+func decodeBodyPortable(codec WireCodec, dst []float32, body []byte) {
+	if codec == CodecBF16 {
+		tensor.UnpackBF16LE(dst, body)
+		return
 	}
-	h, err = parseFrameHeader(hdr, size, maxElems)
-	if err != nil {
-		return frameHeader{}, nil, false, err
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
 	}
-	buf := make([]byte, h.n*h.codec.bytesPerElem())
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frameHeader{}, nil, false, err
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:frameCRCOffset])
-	crc.Write(buf)
-	if got := crc.Sum32(); got != h.crc {
-		// The length field was covered by the header checks and the payload
-		// was fully consumed: the stream is still frame-aligned.
-		return frameHeader{}, nil, true, &CorruptionError{Reason: fmt.Sprintf("payload CRC mismatch (got %#x want %#x)", got, h.crc)}
-	}
-	return h, decodePayload(h, buf), true, nil
-}
-
-// decodePayload expands a validated frame's raw payload bytes into a
-// pooled []float32 at the codec's width. The caller owns the result.
-func decodePayload(h frameHeader, buf []byte) []float32 {
-	payload := GetBuf(h.n)
-	if h.codec == CodecBF16 {
-		tensor.UnpackBF16LE(payload, buf)
-	} else {
-		for i := range payload {
-			payload[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	}
-	return payload
 }

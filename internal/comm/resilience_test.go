@@ -228,40 +228,14 @@ func TestFaultTransportCrashAtSend(t *testing.T) {
 // injection and test-scale timeouts.
 func chaosMesh(t *testing.T, chaos *ChaosConfig, peerDead time.Duration) []*TCPTransport {
 	t.Helper()
-	addrs, err := LoopbackAddrs(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := TCPOptions{
+	return dialMeshOpts(t, 2, TCPOptions{
 		DialTimeout:       5 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 		PeerDeadTimeout:   peerDead,
 		RetransmitTimeout: 40 * time.Millisecond,
 		ReconnectBackoff:  5 * time.Millisecond,
 		Chaos:             chaos,
-	}
-	trs := make([]*TCPTransport, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], errs[r] = DialTCPOpts(r, addrs, opts)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d dial: %v", r, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
 	})
-	return trs
 }
 
 // The reliability layer must mask every chaos fault: with drops, dups,
@@ -327,6 +301,49 @@ func TestTCPChaosMaskedDelivery(t *testing.T) {
 	}
 	if f.Reconnects == 0 {
 		t.Error("no reconnections recorded with ResetEvery=41")
+	}
+}
+
+// A link whose writes are slow — every data write held for up to several
+// retransmission timeouts — must not retransmit anything: the RTO clock
+// starts when a write returns, so a frame still being written (or queued
+// behind one) is not mistaken for a lost one. No duplicate may reach the
+// receiver either.
+func TestTCPChaosSlowWriteNoRetransmit(t *testing.T) {
+	trs := dialMeshOpts(t, 2, TCPOptions{
+		DialTimeout:       5 * time.Second,
+		HeartbeatInterval: 25 * time.Millisecond,
+		PeerDeadTimeout:   10 * time.Second,
+		RetransmitTimeout: 100 * time.Millisecond,
+		ReconnectBackoff:  5 * time.Millisecond,
+		Chaos:             &ChaosConfig{Seed: 5, DelayProb: 1, MaxDelay: 400 * time.Millisecond},
+	})
+	const frames, n = 6, 1 << 18 // 1 MiB each
+	data := make([]float32, n)
+	for i := 0; i < frames; i++ {
+		data[0] = float32(i)
+		if err := trs[0].Send(1, Tag{Kind: KindWeight, A: i}, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ {
+		got, err := trs[1].RecvTimeout(0, Tag{Kind: KindWeight, A: i}, 20*time.Second)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if len(got) != n || got[0] != float32(i) {
+			t.Fatalf("frame %d: %d elems, first %v", i, len(got), got[0])
+		}
+		Release(got)
+	}
+	if err := trs[0].Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f := trs[0].CommStats().Faults(1); f.Retransmits != 0 {
+		t.Errorf("slow writes triggered %d retransmits, want 0", f.Retransmits)
+	}
+	if f := trs[1].CommStats().Faults(0); f.DupFrames != 0 {
+		t.Errorf("receiver saw %d duplicate frames, want 0", f.DupFrames)
 	}
 }
 

@@ -526,7 +526,8 @@ func (t *TCPTransport) WireCodec(tag Tag) WireCodec { return codecFor(t.opts.Cod
 // Send implements Transport. The payload is copied at the send boundary
 // (the caller keeps its slice); frame encoding and checksumming happen
 // later, on the link's writer goroutine, so the compute thread pays one
-// memcpy and never a CRC.
+// memcpy and never a CRC. Callers that are done with their buffer should
+// donate it with SendOwned instead and skip the copy.
 func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 	payload := GetBuf(len(data))
 	copy(payload, data)
@@ -534,8 +535,10 @@ func (t *TCPTransport) Send(dst int, tag Tag, data []float32) error {
 }
 
 // SendOwned implements OwnedSender: the donated payload is enqueued for the
-// link writer without a copy and released once encoded onto the wire (or at
-// shutdown). Self-sends deliver the buffer straight to the local mailbox.
+// link writer without a copy. An f32 payload is itself the frame's wire
+// image (on a little-endian host), so it is held until a cumulative ack
+// covers the frame and then released by the link writer (or at shutdown);
+// see outFrame. Self-sends deliver the buffer straight to the local mailbox.
 func (t *TCPTransport) SendOwned(dst int, tag Tag, payload []float32) error {
 	tr := t.opts.Trace
 	span := tr.Begin()
@@ -717,16 +720,118 @@ func (t *TCPTransport) Blackhole(peers []int, d time.Duration) {
 // ---- per-link state ------------------------------------------------------
 
 // outFrame is one unacknowledged outgoing data frame. Frames are enqueued
-// with the raw payload and encoded lazily by the writer goroutine: wire is
-// nil until the first write, after which payload has been released back to
-// the pool. Only the writer touches payload/wire post-enqueue; the ack
-// handler reads seq alone.
+// with the pooled payload and encoded lazily by the writer goroutine, which
+// builds only the header: an f32 payload on a little-endian host is its own
+// wire body (a byte view, written with the header in one writev), while a
+// bf16 payload — or any payload on a big-endian host — is encoded once into
+// a pooled scratch buffer and the f32 payload goes back to the pool.
+//
+// Ownership: the frame's buffers stay live until a cumulative ack covers
+// the frame (it may be retransmitted until then). The ack handler only
+// moves acknowledged frames to the link's retired list; the writer
+// goroutine — the only goroutine that writes data, so between its writes
+// nothing references a retired frame — hands their buffers back to the
+// pool (reclaimLocked), and at shutdown releases whatever is left. Only the
+// writer touches a frame's fields after enqueue; the ack handler reads seq
+// alone.
 type outFrame struct {
 	seq     uint64
 	tag     Tag
 	codec   WireCodec
-	payload []float32
-	wire    []byte
+	payload []float32 // pooled payload; nil once a staged encoding replaces it
+	scratch []float32 // pooled buffer the body was encoded into; nil for a payload view
+	body    []byte    // encoded payload bytes (a view of payload or scratch)
+	hdr     [frameHeaderLen]byte
+	encoded bool
+}
+
+// encode builds the frame's header and body on first use; a retransmitted
+// frame reuses them as-is.
+func (f *outFrame) encode(src int, epoch uint32) {
+	if f.encoded {
+		return
+	}
+	n := len(f.payload)
+	f.body, f.scratch = encodeBody(f.codec, f.payload)
+	putFrameHeader(f.hdr[:], src, kindField(f.tag.Kind, f.codec), epoch,
+		int64(f.tag.A), int64(f.tag.B), f.seq, n, f.body)
+	if f.scratch != nil {
+		// The staged encoding is the frame's wire image from here on.
+		Release(f.payload)
+		f.payload = nil
+	}
+	f.encoded = true
+}
+
+// wireLen is the encoded frame's size on the wire.
+func (f *outFrame) wireLen() int { return frameHeaderLen + len(f.body) }
+
+// appendWire appends the encoded frame's wire slices to a write vector.
+func (f *outFrame) appendWire(vec [][]byte) [][]byte {
+	vec = append(vec, f.hdr[:])
+	if len(f.body) > 0 {
+		vec = append(vec, f.body)
+	}
+	return vec
+}
+
+// image returns a private contiguous copy of the encoded frame (the chaos
+// injector's per-write path flips bytes in it and may hold it back).
+func (f *outFrame) image() []byte {
+	return append(append(make([]byte, 0, f.wireLen()), f.hdr[:]...), f.body...)
+}
+
+// release hands the frame's buffers back to the pool and clears it for
+// reuse.
+func (f *outFrame) release() {
+	Release(f.payload)
+	Release(f.scratch)
+	*f = outFrame{}
+}
+
+// ctlImages holds one writer goroutine's reusable control-frame headers.
+type ctlImages struct {
+	ack, hb [frameHeaderLen]byte
+}
+
+// ctlFramesLocked encodes the ack/heartbeat frames a flush owes into img,
+// consuming the dirty flags, and appends them to vec. Callers hold l.mu.
+func (l *tcpLink) ctlFramesLocked(img *ctlImages, epoch uint32, vec [][]byte) [][]byte {
+	if l.ackDirty {
+		l.ackDirty = false
+		putCtlHeader(img.ack[:], l.t.rank, ctlAck, epoch, int64(l.rexpect-1))
+		vec = append(vec, img.ack[:])
+	}
+	if l.hbDue {
+		l.hbDue = false
+		putCtlHeader(img.hb[:], l.t.rank, ctlHeartbeat, epoch, 0)
+		vec = append(vec, img.hb[:])
+	}
+	return vec
+}
+
+// linkWriter is a writer goroutine's reusable scratch: write vectors,
+// burst envelope headers and control frames. Only its goroutine touches
+// it, so a steady-state flush allocates nothing.
+type linkWriter struct {
+	ctl    ctlImages
+	ctlVec [][]byte
+	frames []*outFrame
+	vec    [][]byte
+	out    net.Buffers
+	sizes  []int
+	runs   []int
+	env    []byte
+}
+
+// writev writes vec to conn in one gathered write and clears the vector's
+// references.
+func (w *linkWriter) writev(conn net.Conn, vec [][]byte) error {
+	w.vec = vec
+	w.out = vec
+	_, err := w.out.WriteTo(conn)
+	clear(w.vec)
+	return err
 }
 
 // oooMsg is a received data frame waiting for its predecessors.
@@ -757,13 +862,22 @@ type tcpLink struct {
 	// would let a repeating connection-killing fault erase each burst whole
 	// and re-send it forever — the window keeps acknowledged progress
 	// accumulating between failures.
-	sendq       []*outFrame
-	sent        int
-	window      int
-	nextSeq     uint64
-	lastAckTime time.Time
-	ackDirty    bool // an ack should be sent
-	hbDue       bool // a heartbeat should be sent
+	sendq    []*outFrame
+	sent     int
+	window   int
+	nextSeq  uint64
+	ackDirty bool // an ack should be sent
+	hbDue    bool // a heartbeat should be sent
+	// The retransmission clock runs only while written frames await their
+	// ack: it restarts when a data write returns, on ack progress and on
+	// (re)connection, and it is stopped while a write is in flight — a
+	// multi-megabyte frame still inside writev (or queued behind one) has
+	// not been lost, and re-sending it whole would only add load.
+	rtoStart time.Time
+	writing  bool        // the writer has a data write in flight
+	retired  []*outFrame // acknowledged, awaiting reclaim by the writer
+	free     []*outFrame // reclaimed frame records for reuse by send
+	w        linkWriter  // writer-goroutine scratch
 
 	// incoming
 	rexpect uint64 // next expected data sequence
@@ -803,6 +917,8 @@ type tcpLink struct {
 	ctlGen      int
 	ctlDialing  bool
 	nextCtlDial time.Time
+
+	ctlW linkWriter // ctl-lane writer scratch
 
 	// chaos state (writer-side)
 	chaosN    uint64
@@ -868,12 +984,16 @@ func (l *tcpLink) send(tag Tag, codec WireCodec, payload []float32) error {
 		Release(payload)
 		return ErrClosed
 	}
-	seq := l.nextSeq
-	l.nextSeq++
-	if len(l.sendq) == 0 {
-		l.lastAckTime = time.Now()
+	var f *outFrame
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = new(outFrame)
 	}
-	l.sendq = append(l.sendq, &outFrame{seq: seq, tag: tag, codec: codec, payload: payload})
+	f.seq, f.tag, f.codec, f.payload = l.nextSeq, tag, codec, payload
+	l.nextSeq++
+	l.sendq = append(l.sendq, f)
 	l.mu.Unlock()
 	l.cond.Broadcast()
 	return nil
@@ -917,7 +1037,7 @@ func (l *tcpLink) install(conn net.Conn) {
 		l.quietUntil = now.Add(l.t.opts.RetransmitTimeout / 16)
 	}
 	l.lastContact = now
-	l.lastAckTime = now
+	l.rtoStart = now
 	l.mu.Unlock()
 	l.upOnce.Do(func() { close(l.up) })
 	if reconnect {
@@ -1049,12 +1169,13 @@ func (l *tcpLink) tick(now time.Time) {
 		l.lastMiss = now
 		l.t.stats.recordHeartbeatMiss(l.peer)
 	}
-	// Retransmission: acks stalled with frames outstanding.
-	if l.conn != nil && l.sent > 0 && now.Sub(l.lastAckTime) > opts.RetransmitTimeout {
+	// Retransmission: acks stalled with written frames outstanding. The
+	// clock does not run while a write is still in flight.
+	if l.conn != nil && l.sent > 0 && !l.writing && now.Sub(l.rtoStart) > opts.RetransmitTimeout {
 		l.t.stats.recordRetransmit(l.peer, int64(l.sent))
 		l.t.opts.Trace.Instant(trace.CodeRetransmit, int64(l.peer), int64(l.sent))
 		l.sent = 0
-		l.lastAckTime = now
+		l.rtoStart = now
 		signal = true
 	}
 	// Auto mode re-decision: once measured ack RTTs exist, fold them into
@@ -1119,14 +1240,19 @@ func (l *tcpLink) tick(now time.Time) {
 // heartbeats) and unsent data frames onto the current connection. Data
 // frames are encoded here — outside the link lock and off the compute
 // thread — and the whole batch (control + data) goes out as a single
-// net.Buffers writev, one syscall per burst instead of one per frame. The
-// chaos injector, when armed, takes the per-frame path instead so its
-// write-count-keyed fault decisions stay deterministic.
+// net.Buffers writev of headers and payload views, one syscall per burst
+// and no copy of the payload. The chaos injector, when armed, takes the
+// per-frame path instead so its write-count-keyed fault decisions stay
+// deterministic.
 func (l *tcpLink) writeLoop() {
 	defer l.t.wg.Done()
+	w := &l.w
 	for {
 		l.mu.Lock()
 		for {
+			// Between this goroutine's writes nothing references an
+			// acknowledged frame any more: recycle its buffers here.
+			l.reclaimLocked()
 			if l.closed || l.dead {
 				break
 			}
@@ -1140,13 +1266,11 @@ func (l *tcpLink) writeLoop() {
 			l.cond.Wait()
 		}
 		if l.closed || l.dead {
-			// Unencoded payloads still own pool buffers; give them back.
+			// Shutdown: every frame still queued owns pool buffers.
 			for _, f := range l.sendq {
-				if f.wire == nil && f.payload != nil {
-					Release(f.payload)
-					f.payload = nil
-				}
+				f.release()
 			}
+			l.sendq, l.sent, l.free = nil, 0, nil
 			l.mu.Unlock()
 			return
 		}
@@ -1164,18 +1288,11 @@ func (l *tcpLink) writeLoop() {
 		conn, gen := l.conn, l.gen
 		mode := l.mode
 		epoch := l.t.opts.Epoch
-		var batch net.Buffers
+		ctl := w.ctlVec[:0]
 		if l.ctlConn == nil || mode != P2PDuplex {
-			if l.ackDirty {
-				l.ackDirty = false
-				batch = append(batch, encodeCtlFrame(l.t.rank, ctlAck, epoch, int64(l.rexpect-1)))
-			}
-			if l.hbDue {
-				l.hbDue = false
-				batch = append(batch, encodeCtlFrame(l.t.rank, ctlHeartbeat, epoch, 0))
-			}
+			ctl = l.ctlFramesLocked(&w.ctl, epoch, ctl)
 		}
-		var frames []*outFrame
+		frames := w.frames[:0]
 		quiet := time.Until(l.quietUntil)
 		if quiet <= 0 {
 			for l.sent < len(l.sendq) && l.sent < l.window {
@@ -1190,94 +1307,28 @@ func (l *tcpLink) writeLoop() {
 				l.probeAt = time.Now()
 			}
 		}
+		l.writing = len(frames) > 0
 		l.mu.Unlock()
 
-		// Lazy encode: only this goroutine touches payload/wire after
+		// Lazy encode: only this goroutine touches a frame's fields after
 		// enqueue, so no lock is needed. A retransmitted frame is already
 		// encoded and reused as-is (possibly in a different burst grouping —
 		// harmless, envelopes carry no sequence state of their own).
 		for _, f := range frames {
-			if f.wire == nil {
-				f.wire = encodeFrame(l.t.rank, kindField(f.tag.Kind, f.codec), epoch,
-					int64(f.tag.A), int64(f.tag.B), f.seq, f.codec, f.payload)
-				Release(f.payload)
-				f.payload = nil
-			}
+			f.encode(l.t.rank, epoch)
 		}
+		err := l.writeFlush(conn, mode, epoch, ctl, frames)
+		clear(frames)
+		w.ctlVec, w.frames = ctl[:0], frames[:0]
 
-		maxElems := l.t.opts.MaxPayloadElems
-		broken := false
-		switch {
-		case l.t.opts.Chaos != nil:
-			// Per-write chaos: ctl frames go plain (the injector only rolls
-			// on data writes), data goes frame-per-write or burst-per-write
-			// so the injector's write ordinals stay deterministic for a
-			// given traffic pattern.
-			for _, w := range batch {
-				if _, err := conn.Write(w); err != nil {
-					broken = true
-					break
-				}
-			}
-			if !broken && mode == P2PBatched && len(frames) > 0 {
-				wires := make([][]byte, len(frames))
-				for i, f := range frames {
-					wires[i] = f.wire
-				}
-				for _, run := range splitBursts(maxElems, wires) {
-					l.t.stats.recordBurst(l.peer, len(run))
-					l.t.stats.recordWireWrite(l.peer)
-					if err := l.writeData(conn, flattenBurst(l.t.rank, epoch, run)); err != nil {
-						broken = true
-						break
-					}
-				}
-			} else if !broken {
-				for _, f := range frames {
-					l.t.stats.recordWireWrite(l.peer)
-					if err := l.writeData(conn, f.wire); err != nil {
-						broken = true
-						break
-					}
-				}
-			}
-		case mode == P2PBatched && len(batch)+len(frames) > 0:
-			// Batched mode: everything this flush made ready — the belt's
-			// same-tick weight + gradient chunks and any pending ctl frames
-			// — travels inside burst envelopes, one writev for the lot.
-			wires := make([][]byte, 0, len(batch)+len(frames))
-			for _, w := range batch {
-				wires = append(wires, w)
-			}
-			for _, f := range frames {
-				wires = append(wires, f.wire)
-			}
-			var out net.Buffers
-			for _, run := range splitBursts(maxElems, wires) {
-				total := 0
-				for _, w := range run {
-					total += len(w)
-				}
-				out = append(out, encodeBurstHeader(l.t.rank, epoch, len(run), total))
-				out = append(out, run...)
-				l.t.stats.recordBurst(l.peer, len(run))
-			}
-			l.t.stats.recordWireWrite(l.peer)
-			if _, err := out.WriteTo(conn); err != nil {
-				broken = true
-			}
-		default:
-			for _, f := range frames {
-				batch = append(batch, f.wire)
-			}
-			if len(batch) > 0 {
-				l.t.stats.recordWireWrite(l.peer)
-				if _, err := batch.WriteTo(conn); err != nil {
-					broken = true
-				}
-			}
+		l.mu.Lock()
+		l.writing = false
+		if len(frames) > 0 && err == nil {
+			// The RTO clock starts when the write has returned.
+			l.rtoStart = time.Now()
 		}
-		if broken {
+		l.mu.Unlock()
+		if err != nil {
 			l.markDown(gen)
 			continue
 		}
@@ -1287,6 +1338,104 @@ func (l *tcpLink) writeLoop() {
 			time.Sleep(quiet)
 		}
 	}
+}
+
+// writeFlush puts one flush — pending control frames, then the claimed
+// data frames — on the wire in the link's packaging mode.
+func (l *tcpLink) writeFlush(conn net.Conn, mode P2PMode, epoch uint32, ctl [][]byte, frames []*outFrame) error {
+	w := &l.w
+	switch {
+	case l.t.opts.Chaos != nil:
+		return l.writeChaos(conn, mode, epoch, ctl, frames)
+	case mode == P2PBatched && len(ctl)+len(frames) > 0:
+		// Batched mode: everything this flush made ready — the belt's
+		// same-tick weight + gradient chunks and any pending ctl frames
+		// — travels inside burst envelopes, one writev for the lot.
+		sizes := w.sizes[:0]
+		for _, c := range ctl {
+			sizes = append(sizes, len(c))
+		}
+		for _, f := range frames {
+			sizes = append(sizes, f.wireLen())
+		}
+		runs := splitBursts(l.t.opts.MaxPayloadElems, sizes, w.runs[:0])
+		w.sizes, w.runs = sizes, runs
+		if need := len(runs) * frameHeaderLen; cap(w.env) < need {
+			w.env = make([]byte, need)
+		}
+		vec := w.vec[:0]
+		item := 0
+		for r, count := range runs {
+			total := 0
+			for _, n := range sizes[item : item+count] {
+				total += n
+			}
+			env := w.env[r*frameHeaderLen : (r+1)*frameHeaderLen]
+			putBurstHeader(env, l.t.rank, epoch, count, total)
+			vec = append(vec, env)
+			for end := item + count; item < end; item++ {
+				if item < len(ctl) {
+					vec = append(vec, ctl[item])
+				} else {
+					vec = frames[item-len(ctl)].appendWire(vec)
+				}
+			}
+			l.t.stats.recordBurst(l.peer, count)
+		}
+		l.t.stats.recordWireWrite(l.peer)
+		return w.writev(conn, vec)
+	default:
+		vec := append(w.vec[:0], ctl...)
+		for _, f := range frames {
+			vec = f.appendWire(vec)
+		}
+		if len(vec) == 0 {
+			return nil
+		}
+		l.t.stats.recordWireWrite(l.peer)
+		return w.writev(conn, vec)
+	}
+}
+
+// writeChaos is writeFlush under the chaos injector: ctl frames go plain
+// (the injector only rolls on data writes), data goes frame-per-write or
+// burst-per-write so the injector's write ordinals stay deterministic for
+// a given traffic pattern. Each write is a private contiguous image, so a
+// reorder-held write never references a frame's pooled buffers.
+func (l *tcpLink) writeChaos(conn net.Conn, mode P2PMode, epoch uint32, ctl [][]byte, frames []*outFrame) error {
+	for _, c := range ctl {
+		if _, err := conn.Write(c); err != nil {
+			return err
+		}
+	}
+	if len(frames) == 0 {
+		return nil
+	}
+	images := make([][]byte, len(frames))
+	sizes := make([]int, len(frames))
+	for i, f := range frames {
+		images[i] = f.image()
+		sizes[i] = len(images[i])
+	}
+	if mode != P2PBatched {
+		for _, img := range images {
+			l.t.stats.recordWireWrite(l.peer)
+			if err := l.writeData(conn, img); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, count := range splitBursts(l.t.opts.MaxPayloadElems, sizes, nil) {
+		run := images[:count]
+		images = images[count:]
+		l.t.stats.recordBurst(l.peer, count)
+		l.t.stats.recordWireWrite(l.peer)
+		if err := l.writeData(conn, flattenBurst(l.t.rank, epoch, run)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ctlWriteLoop is the duplex mode's second writer: while the ctl lane is
@@ -1319,22 +1468,13 @@ func (l *tcpLink) ctlWriteLoop() {
 			continue
 		}
 		conn, gen := l.ctlConn, l.ctlGen
-		epoch := l.t.opts.Epoch
-		var batch net.Buffers
-		if l.ackDirty {
-			l.ackDirty = false
-			batch = append(batch, encodeCtlFrame(l.t.rank, ctlAck, epoch, int64(l.rexpect-1)))
-		}
-		if l.hbDue {
-			l.hbDue = false
-			batch = append(batch, encodeCtlFrame(l.t.rank, ctlHeartbeat, epoch, 0))
-		}
+		vec := l.ctlFramesLocked(&l.ctlW.ctl, l.t.opts.Epoch, l.ctlW.vec[:0])
 		l.mu.Unlock()
-		if len(batch) == 0 {
+		n := len(vec)
+		if n == 0 {
 			continue
 		}
-		n := len(batch)
-		if _, err := batch.WriteTo(conn); err != nil {
+		if err := l.ctlW.writev(conn, vec); err != nil {
 			l.dropCtlLane(gen)
 			continue
 		}
@@ -1551,17 +1691,34 @@ func (l *tcpLink) handleAckLocked(upTo uint64) {
 		l.t.stats.recordLinkRTT(l.peer, l.rttEWMA)
 	}
 	popped := 0
-	for len(l.sendq) > 0 && l.sendq[0].seq <= upTo {
-		l.sendq = l.sendq[1:]
+	for popped < len(l.sendq) && l.sendq[popped].seq <= upTo {
 		popped++
 	}
 	if popped > 0 {
+		// The writer reclaims retired frames between its writes; compacting
+		// in place keeps the queue's backing array for the next sends.
+		l.retired = append(l.retired, l.sendq[:popped]...)
+		n := copy(l.sendq, l.sendq[popped:])
+		clear(l.sendq[n:])
+		l.sendq = l.sendq[:n]
 		l.sent -= popped
 		if l.sent < 0 {
 			l.sent = 0
 		}
-		l.lastAckTime = time.Now()
+		l.rtoStart = time.Now()
 	}
+}
+
+// reclaimLocked returns acknowledged frames' buffers to the pool. Only the
+// writer goroutine calls it, between its writes, so no write references a
+// retired frame any more (the chaos path writes private images).
+func (l *tcpLink) reclaimLocked() {
+	for i, f := range l.retired {
+		f.release()
+		l.retired[i] = nil
+		l.free = append(l.free, f)
+	}
+	l.retired = l.retired[:0]
 }
 
 // handleDataLocked runs the receive-side of the reliability protocol:

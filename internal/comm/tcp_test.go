@@ -1,39 +1,16 @@
 package comm
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// dialMesh brings up an n-rank TCP mesh on loopback.
-func dialMesh(t *testing.T, n int) []*TCPTransport {
+// dialMesh brings up an n-rank TCP mesh on loopback with default options.
+func dialMesh(t testing.TB, n int) []*TCPTransport {
 	t.Helper()
-	addrs, err := LoopbackAddrs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]*TCPTransport, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], errs[r] = DialTCP(r, addrs)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d dial: %v", r, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	})
-	return trs
+	return dialMeshOpts(t, n, TCPOptions{})
 }
 
 func TestTCPSendRecv(t *testing.T) {
@@ -139,5 +116,84 @@ func TestTCPLargePayload(t *testing.T) {
 		if got[i] != big[i] {
 			t.Fatalf("corruption at %d", i)
 		}
+	}
+}
+
+// tcpRoundTrip sends payload from rank 0 to rank 1 and echoes it back by
+// donation, releasing what arrives.
+func tcpRoundTrip(tb testing.TB, trs []*TCPTransport, payload []float32) {
+	tag := Tag{Kind: KindWeight, A: 3}
+	if err := trs[0].Send(1, tag, payload); err != nil {
+		tb.Fatal(err)
+	}
+	got, err := trs[1].Recv(0, tag)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := trs[1].SendOwned(0, tag, got); err != nil {
+		tb.Fatal(err)
+	}
+	back, err := trs[0].Recv(1, tag)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(back) != len(payload) || back[len(back)-1] != payload[len(payload)-1] {
+		tb.Fatalf("round trip returned %d elems", len(back))
+	}
+	Release(back)
+}
+
+// After warm-up, the TCP data path must be garbage-free: the sender writes
+// straight from the pooled payload, the receiver reads straight into a
+// pooled buffer, and frame records, write vectors and control frames are
+// all reused. A round trip of a 1M-float payload (8 MiB on the wire) may
+// allocate less than 1% of the payload's bytes.
+func TestTCPRoundTripSteadyStateAllocs(t *testing.T) {
+	trs := dialMesh(t, 2)
+	const n = 1 << 20
+	payload := make([]float32, n)
+	for i := range payload {
+		payload[i] = float32(i)
+	}
+	// Warm-up: fill the buffer pool with the working set of in-flight
+	// payloads and let every link reach its steady state.
+	var warm [stashDepth][]float32
+	for i := range warm {
+		warm[i] = GetBuf(n)
+	}
+	for i := range warm {
+		Release(warm[i])
+	}
+	for i := 0; i < 8; i++ {
+		tcpRoundTrip(t, trs, payload)
+	}
+	const trips = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < trips; i++ {
+		tcpRoundTrip(t, trs, payload)
+	}
+	runtime.ReadMemStats(&after)
+	perTrip := float64(after.TotalAlloc-before.TotalAlloc) / trips
+	if limit := 0.01 * 4 * n; perTrip >= limit {
+		t.Fatalf("a 1M-float TCP round trip allocates %.0f bytes, want < %.0f (1%% of the payload)", perTrip, limit)
+	}
+	t.Logf("%.0f bytes allocated per round trip", perTrip)
+}
+
+// BenchmarkTCPRoundTrip times a loopback 0→1→0 round trip of one payload
+// (Send out, donated echo back); bytes/s counts both directions.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("elems=%d", n), func(b *testing.B) {
+			trs := dialMesh(b, 2)
+			payload := make([]float32, n)
+			tcpRoundTrip(b, trs, payload)
+			b.SetBytes(int64(2 * 4 * n))
+			b.ReportAllocs()
+			for b.Loop() {
+				tcpRoundTrip(b, trs, payload)
+			}
+		})
 	}
 }

@@ -121,6 +121,7 @@ type mailbox struct {
 	queues  map[msgKey][][]float32
 	waiters map[msgKey]*keyWaiter // parked takes, woken per key
 	free    [][][]float32         // recycled empty per-key queues (bounded; see take)
+	wfree   []*keyWaiter          // recycled waiter entries (bounded; see unpark)
 	err     error                 // non-nil once closed
 
 	// stats, when non-nil, receives the overlap telemetry: bytes sitting in
@@ -255,7 +256,12 @@ func (m *mailbox) tryTake(key msgKey) ([]float32, bool) {
 func (m *mailbox) waiter(key msgKey) *keyWaiter {
 	w := m.waiters[key]
 	if w == nil {
-		w = &keyWaiter{cond: sync.NewCond(&m.mu)}
+		if n := len(m.wfree); n > 0 {
+			w = m.wfree[n-1]
+			m.wfree = m.wfree[:n-1]
+		} else {
+			w = &keyWaiter{cond: sync.NewCond(&m.mu)}
+		}
 		m.waiters[key] = w
 	}
 	w.n++
@@ -263,7 +269,10 @@ func (m *mailbox) waiter(key msgKey) *keyWaiter {
 }
 
 // unpark counts a take out of its waiter entry (nil if it never parked),
-// dropping the entry once nobody waits on the key. Callers hold m.mu.
+// dropping the entry once nobody waits on the key and recycling it so a
+// parked receive does not allocate. A deliver or timer still holding the
+// recycled entry can only cause a spurious wakeup, which every wait loop
+// tolerates. Callers hold m.mu.
 func (m *mailbox) unpark(key msgKey, w *keyWaiter) {
 	if w == nil {
 		return
@@ -271,6 +280,9 @@ func (m *mailbox) unpark(key msgKey, w *keyWaiter) {
 	w.n--
 	if w.n == 0 {
 		delete(m.waiters, key)
+		if len(m.wfree) < 8 {
+			m.wfree = append(m.wfree, w)
+		}
 	}
 }
 

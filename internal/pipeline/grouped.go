@@ -304,9 +304,11 @@ func (w *WeiPipe) recvBeltChunkGrouped(belt, c, use int) error {
 	lo, hi := w.chunkRange(c)
 	w.mdl.SetChunk(lo, hi, w.beltBody(payload))
 	if w.engine == nil && i < g.m-1 {
-		err = g.grp.Send(i+1, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+		// Installed: donate the buffer downstream instead of copying it.
+		err = comm.SendOwned(g.grp, i+1, Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
+	} else {
+		comm.Release(payload)
 	}
-	comm.Release(payload)
 	if err != nil {
 		return err
 	}

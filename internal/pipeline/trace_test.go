@@ -174,3 +174,52 @@ func TestTraceOffIsUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestWeiPipeOptSpanExcludesStall pins the optimizer span's extent: it
+// opens only after the retired gradient has arrived, so the wait for it is
+// counted once, as exposed communication, and never also as optimizer
+// time. No stall may lie inside an opt span, and per rank-iteration (and
+// on average) opt + stall must fit in the step.
+func TestWeiPipeOptSpanExcludesStall(t *testing.T) {
+	const p, n, iters = 2, 4, 3
+	for _, overlap := range []bool{false, true} {
+		set := trace.NewSet(p, 1<<14)
+		opts := Options{Overlap: overlap, Trace: set}
+		batches := traceTestBatches(n)
+		if _, err := RunCluster(StrategyWZB2, p, traceTestConfig(), opts, iters,
+			func(int) []data.Batch { return batches }); err != nil {
+			t.Fatal(err)
+		}
+		if set.Dropped() != 0 {
+			t.Fatalf("ring overflowed: %d dropped", set.Dropped())
+		}
+		events := set.Events()
+		nOpt := 0
+		for _, o := range events {
+			if o.Code != trace.CodeOpt {
+				continue
+			}
+			nOpt++
+			for _, s := range events {
+				if s.Code == trace.CodeStall && s.Rank == o.Rank &&
+					s.Start < o.Start+o.Dur && s.Start+s.Dur > o.Start {
+					t.Fatalf("overlap=%v: rank %d stall [%d,+%d) inside opt span [%d,+%d)",
+						overlap, o.Rank, s.Start, s.Dur, o.Start, o.Dur)
+				}
+			}
+		}
+		if nOpt != p*iters {
+			t.Fatalf("overlap=%v: %d opt spans, want %d", overlap, nOpt, p*iters)
+		}
+		ms := trace.PerIteration(events)
+		for _, m := range ms {
+			if m.Opt+m.Exposed > m.Step {
+				t.Fatalf("overlap=%v: rank %d iter %d: opt %v + stall %v > step %v",
+					overlap, m.Rank, m.Iter, m.Opt, m.Exposed, m.Step)
+			}
+		}
+		if s := trace.Summarize(ms); s.AvgOpt+s.AvgExposed > s.AvgStep {
+			t.Fatalf("overlap=%v: summary opt %v + stall %v > step %v", overlap, s.AvgOpt, s.AvgExposed, s.AvgStep)
+		}
+	}
+}

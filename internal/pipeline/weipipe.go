@@ -172,6 +172,12 @@ type WeiPipe struct {
 
 	// tr is this rank's runtime tracer (nil when tracing is off).
 	tr *trace.Tracer
+
+	// wGrads holds the W pass's per-module gradient sets (indexed like
+	// mdl.Modules, allocated on first use). Every W pass zeroes and refills
+	// the sets of its chunk, then flattens them into a belt buffer, so they
+	// are scratch that lives as long as the trainer.
+	wGrads []*nn.ParamSet
 }
 
 // ArenaHighWater implements ArenaMeter.
@@ -367,11 +373,13 @@ func (w *WeiPipe) TrainIteration(batches []data.Batch) (loss float64, err error)
 	}
 
 	// Collect the fully-accumulated gradient for the owned chunk and step.
-	optSpan := w.tr.Begin()
+	// The optimizer span opens once the gradient is here: the wait for it
+	// is exposed communication, recorded as its own stall span.
 	d, err := w.beltRecv(p-1, Tag{Kind: comm.KindGrad, A: w.ownChunk, B: w.enc(beltRetire, 0)})
 	if err != nil {
 		return 0, err
 	}
+	optSpan := w.tr.Begin()
 	if w.opts.BitFlip != nil {
 		w.opts.BitFlip.Flip(w.t.Rank(), w.iter, FlipBeltGrad, w.beltBody(d))
 	}
@@ -629,17 +637,13 @@ func (w *WeiPipe) beltRecvOn(t Transport, src int, tag Tag) ([]float32, error) {
 	return payload, err
 }
 
-// sendBelt passes an exhausted-here belt buffer on: in overlap mode the
-// buffer is donated to the transport (zero-copy on the in-process fabric),
-// in blocking mode it is copied out and released — the legacy semantics the
-// overlapped engine is measured against.
+// sendBelt passes an exhausted-here belt buffer on by donating it to the
+// transport, in both the blocking and the overlapped mode: the in-process
+// fabric delivers the buffer itself, TCP writes it straight from the
+// buffer. Either way the compute thread copies nothing, and the caller
+// must not touch payload after the call.
 func (w *WeiPipe) sendBelt(dst int, tag Tag, payload []float32) error {
-	if w.engine != nil {
-		return comm.SendOwned(w.t, dst, tag, payload)
-	}
-	err := w.t.Send(dst, tag, payload)
-	comm.Release(payload)
-	return err
+	return comm.SendOwned(w.t, dst, tag, payload)
 }
 
 // recvBeltChunk receives belt-copy `belt` of chunk c for use index `use`,
@@ -674,11 +678,12 @@ func (w *WeiPipe) recvBeltChunk(belt, c, use int) error {
 	lo, hi := w.chunkRange(c)
 	w.mdl.SetChunk(lo, hi, w.beltBody(payload))
 	if w.engine == nil && use < w.totalUses()-1 {
-		err = w.t.Send((w.t.Rank()+1)%w.t.Size(),
+		// The chunk is installed: the buffer travels on as it is.
+		return w.sendBelt((w.t.Rank()+1)%w.t.Size(),
 			Tag{Kind: comm.KindWeight, A: c, B: w.enc(belt, use+1)}, payload)
 	}
 	comm.Release(payload)
-	return err
+	return nil
 }
 
 // accumulateAndForwardD folds this worker's local gradient contribution for
@@ -793,9 +798,16 @@ func (w *WeiPipe) wStage(st *wpState, k, c int) error {
 	caches := st.caches[mb]
 	lo, hi := w.chunkRange(c)
 	span := w.tr.Begin()
-	grads := make([]*nn.ParamSet, len(w.mdl.Modules))
+	if w.wGrads == nil {
+		w.wGrads = make([]*nn.ParamSet, len(w.mdl.Modules))
+	}
+	grads := w.wGrads
 	for i := lo; i < hi; i++ {
-		grads[i] = w.mdl.Modules[i].Params().NewLike()
+		if grads[i] == nil {
+			grads[i] = w.mdl.Modules[i].Params().NewLike()
+		} else {
+			grads[i].Zero()
+		}
 	}
 	backwardRangeW(w.mdl, lo, hi, caches[lo:hi], grads)
 	size := w.mdl.ChunkSize(lo, hi)

@@ -43,8 +43,12 @@ const (
 	CodeF
 	CodeB
 	CodeW
-	// CodeOpt spans the optimizer step phase (gradient retire + step).
-	// A = iteration index.
+	// CodeOpt spans the optimizer step phase: gradient scaling, the
+	// reductions that belong to the step (data-parallel all-reduce, FSDP
+	// reduce-scatter, the scalar norm all-reduce), clipping, the update and
+	// its guards. No CodeStall nests inside it: WeiPipe opens it only after
+	// the retired gradient has arrived, and that wait is a CodeStall span of
+	// its own. A = iteration index.
 	CodeOpt
 	// CodeCkpt spans a coordinated checkpoint capture. A = completed
 	// iterations at the barrier.
